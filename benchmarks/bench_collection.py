@@ -1,18 +1,17 @@
-"""Collection engine benchmark: round latency, batched ingest, plan cache.
+"""Collection benchmark: round latency, batched ingest, plan cache.
 
-The parallel collection engine (``repro.core.parallel``) shards the SPS
-plan, materializes shard results off the admission path, and lands every
-round through the batched archive writers; the plan cache
+SPS collection admits the whole plan serially, then lands every round
+through the batched archive writers; the plan cache
 (``repro.core.plan_cache``) reuses solved query packings across service
 constructions.  This bench answers whether those layers pay for
-themselves, and -- because a fast wrong answer is worthless -- every
-timed comparison is gated on byte-identity of the resulting archives.
+themselves, and -- because a fast wrong answer is worthless -- the ingest
+comparison is gated on byte-identity of the resulting archives.
 
-Acceptance: the engine at 4 workers must finish a full-catalog SPS round
-at least 2x faster than the legacy serial collector; batched archive
-writes must beat pointwise writes by at least 3x; and a warm re-plan of
-an unchanged catalog must make zero solver calls.  The JSON report lands
-in ``BENCH_collection.json`` next to this file's parent.
+Acceptance: batched archive writes must beat pointwise writes by at
+least 3x, and a warm re-plan of an unchanged catalog must make zero
+solver calls.  The full-catalog SPS round latency is reported without a
+gate.  The JSON report lands in ``BENCH_collection.json`` next to this
+file's parent.
 
 Run standalone (CI smoke) or under pytest:
 
@@ -26,8 +25,6 @@ from pathlib import Path
 
 from repro.devtools.collectionbench import run_collection_bench, summary_lines
 
-#: Acceptance floor for the engine's full-catalog round speedup at 4 workers.
-MIN_ROUND_SPEEDUP = 2.0
 #: Acceptance floor for batched-over-pointwise ingest throughput.
 MIN_INGEST_RATIO = 3.0
 
@@ -48,14 +45,9 @@ def run_and_report(write_report: bool = True) -> dict:
 
 def _gates(report: dict) -> list:
     """(name, passed) acceptance checks over one report."""
-    latency = report["round_latency"]
     ingest = report["ingest"]
     cache = report["plan_cache"]
-    speedup = latency["legs"]["workers=4"]["speedup"]
     return [
-        (f"round speedup {speedup:.2f}x >= {MIN_ROUND_SPEEDUP:.1f}x",
-         speedup >= MIN_ROUND_SPEEDUP),
-        ("round archives byte-identical", latency["byte_identical"]),
         (f"ingest ratio {ingest['throughput_ratio']:.2f}x >= "
          f"{MIN_INGEST_RATIO:.1f}x",
          ingest["throughput_ratio"] >= MIN_INGEST_RATIO),

@@ -1,23 +1,21 @@
 #!/usr/bin/env bash
-# Collection engine smoke: the parallel engine must beat the serial
-# collector (>=2x round latency, >=3x batched ingest) while producing
-# byte-identical archives, and the worker sweep must replay identically
-# at every worker count -- with and without fault injection.  Override
-# the sweep or chaos profile via WORKER_SWEEP / CHAOS_PROFILE, e.g.
-#   WORKER_SWEEP=1,8 CHAOS_PROFILE=heavy scripts/bench_collection.sh
+# Collection smoke: batched ingest must beat pointwise writes (>=3x) with
+# byte-identical archives, a warm re-plan must make zero solver calls,
+# and two seeded collection runs must replay identically -- with and
+# without fault injection.  Override the chaos profile via
+# CHAOS_PROFILE, e.g.
+#   CHAOS_PROFILE=heavy scripts/bench_collection.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP="${WORKER_SWEEP:-1,4}"
 PROFILE="${CHAOS_PROFILE:-moderate}"
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 echo "== collection bench: round latency, ingest, plan cache =="
 python benchmarks/bench_collection.py
 
-echo "== worker sweep determinism: workers in {${SWEEP}} =="
-python -m repro.devtools.doublerun --rounds 2 --workers-sweep "${SWEEP}"
+echo "== double-run determinism =="
+python -m repro.devtools.doublerun --rounds 2
 
-echo "== worker sweep determinism under chaos: profile=${PROFILE} =="
-python -m repro.devtools.doublerun --rounds 2 --workers-sweep "${SWEEP}" \
-    --chaos-profile "${PROFILE}"
+echo "== double-run determinism under chaos: profile=${PROFILE} =="
+python -m repro.devtools.doublerun --rounds 2 --chaos-profile "${PROFILE}"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Concurrency gate: the static spotconc rules must hold repo-wide, the
-# deterministic sanitizer probe must come back clean, and the parallel +
+# deterministic sanitizer probe must come back clean, and the collector +
 # chaos suites must pass with the sanitizer armed via the autouse
 # fixture (SPOTCONC_SANITIZE=1).
 set -euo pipefail
@@ -12,9 +12,9 @@ echo "== static concurrency rules: CONC001-003 + FLOW001 =="
 python -m repro.cli lint src/repro \
     --select CONC001,CONC002,CONC003,FLOW001
 
-echo "== sanitized probe: multi-worker collection under lock tracking =="
+echo "== sanitized probe: threaded serving frontend under lock tracking =="
 python -m repro.cli lint src/repro --sanitize
 
-echo "== sanitized parallel + chaos suites =="
-SPOTCONC_SANITIZE=1 python -m pytest tests/core/test_parallel.py \
+echo "== sanitized collector + chaos suites =="
+SPOTCONC_SANITIZE=1 python -m pytest tests/core/test_collectors.py \
     tests/chaos -q

@@ -46,7 +46,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                            chaos_seed=args.chaos_seed,
                            data_dir=args.data_dir,
                            checkpoint_every=args.checkpoint_every,
-                           workers=args.workers,
                            plan_cache=args.plan_cache,
                            lake=args.lake,
                            lake_full_refresh_every=args.lake_full_refresh,
@@ -54,8 +53,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                                args.retention_hours * 3600.0
                                if args.retention_hours else None))
     service = SpotLakeService(config)
-    if args.workers is not None:
-        print(f"parallel collection engine: {args.workers} worker(s)")
     if args.plan_cache:
         from .core.plan_cache import PlanCache
         from .solver import STATS as solver_stats
@@ -473,10 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--checkpoint-every", type=int, default=4,
                          help="fold the WAL into segments every N rounds "
                               "(default 4; 0 = only at exit)")
-    collect.add_argument("--workers", type=int, default=None,
-                         help="SPS materialization worker threads (default: "
-                              "legacy serial collector; any count is "
-                              "byte-identical to serial)")
     collect.add_argument("--plan-cache", default=True,
                          action=argparse.BooleanOptionalAction,
                          help="reuse solved query packings across rounds "
@@ -602,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rule codes to disable, "
                            "overriding [tool.spotlint] ignore")
     lint.add_argument("--sanitize", action="store_true",
-                      help="also run a parallel collection probe under the "
+                      help="also run a threaded serving probe under the "
                            "runtime concurrency sanitizer (SAN001/SAN002)")
     lint.add_argument("--rules", default=None,
                       help="comma-separated rule codes (default: all)")

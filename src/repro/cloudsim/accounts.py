@@ -131,9 +131,8 @@ class AccountPool:
         #: be charged), so a validated hint is exact; a stale hint (charge
         #: never happened, or the window rolled) falls back to the scan.
         self._charged: Dict[QueryKey, Account] = {}
-        # acquisition must stay race-free under the parallel collection
-        # engine; its control pass is single-threaded, the lock makes the
-        # invariant explicit rather than incidental
+        # acquisition runs on the collector's single control thread; the
+        # lock makes that invariant explicit rather than incidental
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

@@ -367,7 +367,7 @@ class Catalog:
                 self._types[itype.name] = itype
         self._regions: Dict[str, Region] = {r.code: r for r in self.regions}
         self._offering_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        # supported_zones() memoizes from pool workers (core.parallel)
+        # guards the supported_zones() memo
         self._cache_lock = threading.Lock()
 
     # -- lookup -----------------------------------------------------------

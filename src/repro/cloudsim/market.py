@@ -198,7 +198,7 @@ class SpotMarket:
     epoch: float = PAPER_WINDOW_START
     events: list = field(default_factory=default_events)
     _base_cache: Dict[Tuple[str, str, str], float] = field(default_factory=dict, repr=False)
-    #: base_headroom() memoizes from pool workers (core.parallel)
+    #: guards the base_headroom() memo
     _cache_lock: threading.Lock = field(default_factory=threading.Lock,
                                         repr=False, compare=False)
 

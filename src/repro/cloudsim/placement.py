@@ -228,9 +228,9 @@ class PlacementScoreEngine:
 
         The returned object's :meth:`CompiledScoreQuery.rows` is a *pure*
         function of the timestamp -- every hash draw (headroom phases,
-        event membership) is taken here, once, so repeated rounds and the
-        parallel collection engine's worker threads evaluate nothing but
-        arithmetic.  Results are bit-identical to :meth:`score_query`.
+        event membership) is taken here, once, so repeated rounds evaluate
+        nothing but arithmetic.  Results are bit-identical to
+        :meth:`score_query`.
         """
         names = tuple(t if isinstance(t, str) else t.name for t in itypes)
         key = (names, tuple(regions), target_capacity,
@@ -258,8 +258,7 @@ class CompiledScoreQuery:
     query shape falls back to :meth:`PlacementScoreEngine.score_query`.
 
     Evaluation is thread-safe: the fast path touches only immutable
-    compiled state, which is what lets collection workers share one
-    compiled plan.
+    compiled state.
     """
 
     __slots__ = ("engine", "names", "regions", "target_capacity",

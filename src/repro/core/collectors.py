@@ -60,15 +60,11 @@ class CollectionReport:
     breaker_trips: int = 0
 
     def merge(self, other: "CollectionReport") -> "CollectionReport":
-        """Fold two partial reports into one.
+        """Fold two reports into one (e.g. a run's rounds into a total).
 
-        ``accounts_used`` is *not* additive: two shards running on disjoint
-        accounts would double-count under ``+``, and ``max`` undercounts
-        them.  Neither merge rule can be exact from partial counts alone,
-        so collectors keep shard sub-reports **sum-free by construction**
-        (``accounts_used == 0``) and stamp the true value once at round
-        end, from the pool itself (``max`` then just propagates the single
-        authoritative stamp unchanged).
+        Counters add up.  ``accounts_used`` takes the ``max``: it is a
+        pool-wide stamp, not a per-report tally, and rounds that charge
+        the same accounts must not count them twice.
         """
         return CollectionReport(
             self.queries_issued + other.queries_issued,
@@ -106,20 +102,29 @@ class SpotInfoScraper:
 
 
 class SpsCollector:
-    """Collects placement scores per the packed query plan."""
+    """Collects placement scores per the packed query plan.
+
+    A round is two passes over the plan.  **Admission** walks the queries
+    serially in plan order and runs each one's whole control sequence --
+    account acquire, credential check, fault hook, quota charge, resilient
+    retries, gap record -- through the deferred SPS entry point, which
+    charges the account but returns an unevaluated
+    :class:`~repro.cloudsim.ec2_api.DeferredScoreCall`.  **Materialisation**
+    then evaluates each admitted call at its admission instant and lands
+    every row in one :class:`~repro.core.archive.RecordBatch` flush.
+    Because scores are a pure function of the compiled query and the
+    timestamp, the archive holds exactly the rows an immediate
+    ``get_spot_placement_scores`` per query would have written.
+    """
 
     def __init__(self, cloud: SimulatedCloud, archive: SpotLakeArchive,
                  accounts: AccountPool, plan: Optional[QueryPlan] = None,
-                 resilience: Optional[ResilientExecutor] = None,
-                 engine: Optional["object"] = None):
+                 resilience: Optional[ResilientExecutor] = None):
         self.cloud = cloud
         self.archive = archive
         self.accounts = accounts
         self.plan = plan or plan_for_catalog(cloud.catalog)
         self.resilience = resilience
-        #: optional ParallelCollectionEngine; when set, ``collect`` routes
-        #: the round through its sharded deferred-materialization path
-        self.engine = engine
 
     @staticmethod
     def query_fingerprint(query: SpsQuery) -> str:
@@ -127,35 +132,12 @@ class SpsCollector:
         return (f"{query.instance_type}@{'+'.join(query.regions)}"
                 f"/cap={query.target_capacity}")
 
-    def _attempt(self, query: SpsQuery):
-        """One try of one planned query: acquire an account, call the API.
+    def attempt_deferred(self, query: SpsQuery):
+        """One try of one planned query: acquire an account, admit the call.
 
         Re-acquires on every try, so a retry may land on a different
         account; an expired token is refreshed before the error surfaces
         to the retry loop (re-auth is cheap, the retry backoff models it).
-        """
-        key = make_query_key([query.instance_type], query.regions,
-                             query.target_capacity,
-                             query.single_availability_zone)
-        account = self.accounts.acquire(key, self.cloud.clock.now())
-        client = self.cloud.client(account)
-        try:
-            return client.get_spot_placement_scores(
-                [query.instance_type], list(query.regions),
-                target_capacity=query.target_capacity,
-                single_availability_zone=query.single_availability_zone)
-        except CredentialExpiredError:
-            account.refresh_credentials()
-            raise
-
-    def attempt_deferred(self, query: SpsQuery):
-        """One try of one planned query via the deferred SPS entry point.
-
-        Identical account/credential/fault/quota behavior to
-        :meth:`_attempt` -- the full admission gauntlet runs here, on the
-        caller's (serial) thread -- but the score computation is deferred:
-        the returned :class:`~repro.cloudsim.ec2_api.DeferredScoreCall` is
-        pure and can be materialized on any worker thread.
         """
         key = make_query_key([query.instance_type], query.regions,
                              query.target_capacity,
@@ -171,60 +153,65 @@ class SpsCollector:
             account.refresh_credentials()
             raise
 
-    def run_query(self, query: SpsQuery) -> CollectionReport:
-        """Issue one planned query; a terminal failure archives a gap.
+    def accounts_used_now(self) -> int:
+        """Accounts with in-window charges: the round's ``accounts_used``."""
+        return sum(
+            1 for a in self.accounts.accounts
+            if a.unique_queries_used(self.cloud.clock.now()) > 0)
+
+    def _admit(self, report: CollectionReport
+               ) -> List[Tuple[SpsQuery, object, float]]:
+        """The serial control pass: (query, deferred call, admission time).
 
         The query is *issued* exactly once however many attempts it takes,
         and it is *failed* only when it ends as a gap -- a query that
         exhausts one account's quota but succeeds on another (or succeeds
         on a retry) contributes zero to ``queries_failed``.
         """
-        report = CollectionReport(queries_issued=1)
-        if self.resilience is None:
-            try:
-                rows = self._attempt(query)
-            except QuotaExceededError:
-                report.queries_failed = 1
-                return report
-        else:
-            outcome = self.resilience.call(
-                (self.query_fingerprint(query),), lambda: self._attempt(query))
-            report.apply_outcome(outcome)
-            if not outcome.ok:
-                self.archive.put_gap(
-                    "sps", self.query_fingerprint(query), outcome.gap_reason,
-                    outcome.attempts, self.cloud.clock.now())
-                return report
-            rows = outcome.value
-        now = self.cloud.clock.now()
-        for row in rows:
-            zone = row["AvailabilityZoneId"]
-            if zone is None:
-                continue
-            self.archive.put_sps(query.instance_type, row["Region"], zone,
-                                 row["Score"], now)
-            report.records_written += 1
-        return report
-
-    def accounts_used_now(self) -> int:
-        """Accounts with in-window charges -- the round-end authoritative
-        ``accounts_used`` stamp (see :meth:`CollectionReport.merge`)."""
-        return sum(
-            1 for a in self.accounts.accounts
-            if a.unique_queries_used(self.cloud.clock.now()) > 0)
+        clock = self.cloud.clock
+        resilience = self.resilience
+        if resilience is not None:
+            resilience.start_round()
+        admitted = []
+        for query in self.plan.queries:
+            report.queries_issued += 1
+            if resilience is None:
+                try:
+                    deferred = self.attempt_deferred(query)
+                except QuotaExceededError:
+                    report.queries_failed += 1
+                    continue
+            else:
+                outcome = resilience.call(
+                    (self.query_fingerprint(query),),
+                    lambda q=query: self.attempt_deferred(q))
+                report.apply_outcome(outcome)
+                if not outcome.ok:
+                    self.archive.put_gap(
+                        "sps", self.query_fingerprint(query),
+                        outcome.gap_reason, outcome.attempts, clock.now())
+                    continue
+                deferred = outcome.value
+            # rows carry the clock as of the successful attempt
+            admitted.append((query, deferred, clock.now()))
+        return admitted
 
     def collect(self) -> CollectionReport:
         """Run the full plan once (one collection round)."""
-        if self.engine is not None:
-            return self.engine.run_sps_round(self)
-        if self.resilience is not None:
-            self.resilience.start_round()
-        total = CollectionReport()
-        for query in self.plan.queries:
-            result = self.run_query(query)
-            total = total.merge(result)
-        total.accounts_used = self.accounts_used_now()
-        return total
+        report = CollectionReport()
+        rows = []
+        for query, deferred, stamp in self._admit(report):
+            for row in deferred.rows_at(stamp):
+                zone = row["AvailabilityZoneId"]
+                if zone is None:
+                    continue
+                rows.append((query.instance_type, row["Region"], zone,
+                             row["Score"], stamp))
+        batch = self.archive.record_batch()
+        batch.add_sps_rows(rows)
+        report.records_written += batch.flush()
+        report.accounts_used = self.accounts_used_now()
+        return report
 
 
 class AdvisorCollector:

@@ -36,7 +36,6 @@ from .collectors import (
     PriceCollector,
     SpsCollector,
 )
-from .parallel import ParallelCollectionEngine
 from .plan_cache import PlanCache
 from .query_planner import QueryPlan, plan_for_offering_map
 from .resilience import CircuitBreaker, ResilientExecutor, RetryPolicy
@@ -95,9 +94,6 @@ class ServiceConfig:
     retention_max_age: Optional[float] = None
     #: storage crash-hook (doublerun --durability installs a CrashInjector).
     storage_crash_hook: Optional[object] = None
-    #: SPS materialization worker threads (None = legacy serial collector;
-    #: 1 = engine path with inline materialization -- byte-identical).
-    workers: Optional[int] = None
     #: reuse solved query packings via the content-addressed plan cache
     #: (in-memory always; persisted under ``data_dir`` when durable).
     plan_cache: bool = True
@@ -161,14 +157,9 @@ class SpotLakeService:
                                    self.config.breaker_threshold,
                                    self.config.breaker_reset))
 
-        self.engine: Optional[ParallelCollectionEngine] = None
-        if self.config.workers is not None:
-            self.engine = ParallelCollectionEngine(self.config.workers)
-
         self.sps_collector = SpsCollector(
             self.cloud, self.archive, self.accounts, self.plan,
-            resilience=self.executors.get("sps"),
-            engine=self.engine)
+            resilience=self.executors.get("sps"))
         self.advisor_collector = AdvisorCollector(
             self.cloud, self.archive,
             resilience=self.executors.get("advisor"))
@@ -221,9 +212,7 @@ class SpotLakeService:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the worker pool and the archive's storage engine."""
-        if self.engine is not None:
-            self.engine.close()
+        """Release the archive's storage engine and cold-tier handles."""
         self.archive.close()
 
     # -- faithful collection ---------------------------------------------------
@@ -341,7 +330,10 @@ class SpotLakeService:
 
         Writes, for every pool and every sample time: the zone placement
         score, the advisor measures (per (type, region), deduplicated), and
-        optionally the spot price.  Returns records written (pre-dedup).
+        optionally the spot price.  Each sample time's rows land in one
+        :class:`~repro.core.archive.RecordBatch` flush, byte-identical to the
+        same ``put_*`` calls issued pointwise.  Returns records written
+        (pre-dedup).
         """
         cloud = self.cloud
         archive = self.archive
@@ -363,19 +355,18 @@ class SpotLakeService:
         # both paths read the same deterministic engines, only the API
         # quota accounting is skipped (covers the engine reads below)
         for ts in sample_times:
+            batch = archive.record_batch()
             for itype, region, zone in pool_list:
                 score = cloud.placement.zone_score(itype, region, zone, ts)  # spotlint: disable=QUO001
-                archive.put_sps(itype, region, zone, score, ts)
-                written += 1
+                batch.add_sps(itype, region, zone, score, ts)
                 if include_price:
                     price = cloud.pricing.spot_price(itype, region, ts, zone)  # spotlint: disable=QUO001
-                    archive.put_price(itype, region, zone, price, ts)
-                    written += 1
+                    batch.add_price(itype, region, zone, price, ts)
             for itype, region in pairs:
                 ratio = cloud.advisor.interruption_ratio(itype, region, ts)  # spotlint: disable=QUO001
                 savings = cloud.advisor.savings_percent(itype, region, ts)  # spotlint: disable=QUO001
-                archive.put_advisor(
+                batch.add_advisor(
                     itype, region, ratio, interruption_free_score(ratio),
                     savings, ts)
-                written += 3
+            written += batch.flush()
         return written

@@ -1,14 +1,11 @@
-"""Collection engine benchmark harness: round latency, ingest, plan cache.
+"""Collection benchmark harness: round latency, ingest, plan cache.
 
-Three questions decide whether the parallel collection engine (sharded
-query execution + batched ingest + plan caching) earns its complexity:
+Three measurements of the collection path:
 
-1. **Round latency** -- one full-catalog SPS collection round through the
-   legacy serial collector versus the :class:`ParallelCollectionEngine`
-   at several worker counts.  Each leg runs on a fresh, identically
-   seeded service (warm-up round first, minimum of ``rounds`` measured
-   rounds taken), and the resulting archives are digest-compared: a
-   speedup only counts when the bytes are identical.
+1. **Round latency** -- one full-catalog SPS collection round through
+   ``SpsCollector.collect`` on a fresh seeded service (warm-up round
+   first, minimum of ``rounds`` measured rounds taken).  Reported only;
+   no gate rides on it.
 2. **Ingest throughput** -- the same SPS row stream written pointwise
    (``put_sps`` per row) versus batched (``put_sps_batch``), both over a
    durable WAL-backed archive, with a directory-level byte-identity
@@ -31,16 +28,14 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.archive import SpotLakeArchive
 from ..core.plan_cache import SOLVER_STATS, PlanCache
 from ..core.service import ServiceConfig, SpotLakeService
 from ..timeseries import dump_store
 
-#: Worker counts compared against the legacy serial collector.
-DEFAULT_WORKER_COUNTS = (1, 4)
-#: Measured collection rounds per leg (after one warm-up round).
+#: Measured collection rounds (after one warm-up round).
 DEFAULT_ROUNDS = 3
 #: Ingest workload shape: ``INGEST_ROUNDS`` stamps over a fixed pool grid.
 INGEST_TYPES = 20
@@ -82,12 +77,12 @@ def _dir_digest(directory: Path) -> str:
 # -- round latency ----------------------------------------------------------
 
 
-def _time_sps_rounds(workers: Optional[int], seed: int, rounds: int,
-                     interval: float) -> Tuple[float, str]:
-    """Best-of-N SPS round latency for one worker setting, plus the
-    archive digest after all rounds (the byte-identity witness)."""
+def bench_round_latency(seed: int = 7, rounds: int = DEFAULT_ROUNDS,
+                        interval: float = 600.0) -> dict:
+    """Best-of-N full-catalog SPS round latency, plus the archive digest
+    after all rounds."""
     PlanCache.reset_shared()
-    service = SpotLakeService(ServiceConfig(seed=seed, workers=workers))
+    service = SpotLakeService(ServiceConfig(seed=seed))
     try:
         service.sps_collector.collect()  # warm-up: primes caches/templates
         best = float("inf")
@@ -96,35 +91,11 @@ def _time_sps_rounds(workers: Optional[int], seed: int, rounds: int,
             started = time.perf_counter()
             service.sps_collector.collect()
             best = min(best, time.perf_counter() - started)
-        return best, _store_digest(service.archive.store)
+        digest = _store_digest(service.archive.store)
     finally:
         service.close()
-
-
-def bench_round_latency(worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-                        seed: int = 7, rounds: int = DEFAULT_ROUNDS,
-                        interval: float = 600.0) -> dict:
-    """Serial collector vs the engine at each worker count, full catalog."""
-    serial_seconds, serial_digest = _time_sps_rounds(None, seed, rounds,
-                                                     interval)
-    legs: Dict[str, dict] = {}
-    identical = True
-    for workers in worker_counts:
-        seconds, digest = _time_sps_rounds(workers, seed, rounds, interval)
-        matches = digest == serial_digest
-        identical = identical and matches
-        legs[f"workers={workers}"] = {
-            "seconds": seconds,
-            "speedup": serial_seconds / seconds if seconds > 0 else 0.0,
-            "byte_identical": matches,
-        }
-    return {
-        "seed": seed,
-        "rounds": rounds,
-        "serial_seconds": serial_seconds,
-        "legs": legs,
-        "byte_identical": identical,
-    }
+    return {"seed": seed, "rounds": rounds, "seconds": best,
+            "digest": digest}
 
 
 # -- ingest throughput ------------------------------------------------------
@@ -251,8 +222,7 @@ def bench_plan_cache(seed: int = 7) -> dict:
 # -- entry point ------------------------------------------------------------
 
 
-def run_collection_bench(worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-                         seed: int = 7, rounds: int = DEFAULT_ROUNDS,
+def run_collection_bench(seed: int = 7, rounds: int = DEFAULT_ROUNDS,
                          repeats: int = DEFAULT_REPEATS,
                          workdir: Optional[Path] = None) -> dict:
     """Full collection benchmark; returns the JSON-serializable report."""
@@ -261,9 +231,8 @@ def run_collection_bench(worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
         else Path(workdir)
     try:
         return {
-            "config": {"worker_counts": list(worker_counts), "seed": seed,
-                       "rounds": rounds, "repeats": repeats},
-            "round_latency": bench_round_latency(worker_counts, seed, rounds),
+            "config": {"seed": seed, "rounds": rounds, "repeats": repeats},
+            "round_latency": bench_round_latency(seed, rounds),
             "ingest": bench_ingest(base, repeats),
             "plan_cache": bench_plan_cache(seed),
         }
@@ -276,16 +245,9 @@ def summary_lines(report: dict) -> List[str]:
     latency = report["round_latency"]
     ingest = report["ingest"]
     cache = report["plan_cache"]
-    lines = [
+    return [
         f"round latency (full catalog, best of {latency['rounds']}): "
-        f"serial {latency['serial_seconds'] * 1000:.1f} ms",
-    ]
-    for label, leg in latency["legs"].items():
-        lines.append(
-            f"  {label}: {leg['seconds'] * 1000:.1f} ms "
-            f"({leg['speedup']:.2f}x, "
-            f"byte-identical: {leg['byte_identical']})")
-    lines += [
+        f"{latency['seconds'] * 1000:.1f} ms",
         f"ingest: pointwise "
         f"{ingest['pointwise']['records_per_second']:,.0f} rec/s -> batch "
         f"{ingest['batch']['records_per_second']:,.0f} rec/s "
@@ -297,4 +259,3 @@ def summary_lines(report: dict) -> List[str]:
         f"({cache['warm_solver_calls']} solver calls, "
         f"{cache['speedup']:.0f}x)",
     ]
-    return lines

@@ -77,8 +77,7 @@ def snapshot_digests(seed: int = 0,
                      directory: Optional[Path] = None,
                      chaos_profile: str = "none",
                      chaos_seed: Optional[int] = None,
-                     include_serving: bool = False,
-                     workers: Optional[int] = None) -> Dict[str, str]:
+                     include_serving: bool = False) -> Dict[str, str]:
     """Run one fresh service for ``rounds`` collection rounds; hash tables.
 
     Returns ``{table_name: sha256_of_snapshot_file}``.  The service, cloud
@@ -87,16 +86,13 @@ def snapshot_digests(seed: int = 0,
     schedule (and hence any gap records) must replay identically too.
     With ``include_serving``, a ``"serving"`` pseudo-table digests the
     canonical API battery (see :func:`serving_digest`), extending the
-    byte-determinism contract over the cached read path.  ``workers``
-    routes SPS collection through the parallel engine (None = the legacy
-    serial collector) -- the digests must not depend on it.
+    byte-determinism contract over the cached read path.
     """
     config = ServiceConfig(
         seed=seed,
         instance_types=list(instance_types) if instance_types else None,
         chaos_profile=chaos_profile,
-        chaos_seed=chaos_seed,
-        workers=workers)
+        chaos_seed=chaos_seed)
     service = SpotLakeService(config)
     for _ in range(rounds):
         service.collect_once()
@@ -145,59 +141,6 @@ def double_run(seed: int = 0,
     return DoubleRunResult(identical=not mismatched,
                            digests_a=digests_a, digests_b=digests_b,
                            mismatched_tables=mismatched)
-
-
-@dataclass
-class WorkerSweepResult:
-    """Byte-identity verdict of the worker-count sweep."""
-
-    identical: bool
-    worker_counts: List[Optional[int]] = field(default_factory=list)
-    #: per-worker-count table digests, keyed by str(workers) ("serial"
-    #: for the legacy collector)
-    digests: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    mismatched: List[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        labels = ", ".join(sorted(self.digests))
-        if self.identical:
-            return (f"deterministic: identical snapshots across worker "
-                    f"counts ({labels})")
-        return ("NONDETERMINISTIC: worker counts diverge from serial: "
-                + ", ".join(self.mismatched))
-
-
-def worker_sweep(worker_counts: Sequence[int],
-                 seed: int = 0,
-                 instance_types: Optional[Sequence[str]] = DEFAULT_TYPES,
-                 rounds: int = 2,
-                 interval_minutes: float = 10.0,
-                 chaos_profile: str = "none",
-                 chaos_seed: Optional[int] = None) -> WorkerSweepResult:
-    """Byte-compare the legacy serial collector against every worker count.
-
-    The parallel collection engine's contract is that archive bytes (gap
-    records included) are a function of the configuration alone, never of
-    the worker count; the sweep runs the identical schedule serially and
-    at each requested ``--workers N`` and diffs every table digest.
-    """
-    kwargs = dict(seed=seed, instance_types=instance_types, rounds=rounds,
-                  interval_minutes=interval_minutes,
-                  chaos_profile=chaos_profile, chaos_seed=chaos_seed)
-    reference = snapshot_digests(workers=None, **kwargs)
-    digests: Dict[str, Dict[str, str]] = {"serial": reference}
-    mismatched: List[str] = []
-    for workers in worker_counts:
-        got = snapshot_digests(workers=workers, **kwargs)
-        digests[f"workers={workers}"] = got
-        if got != reference:
-            bad = sorted(set(got) ^ set(reference)
-                         | {t for t in set(got) & set(reference)
-                            if got[t] != reference[t]})
-            mismatched.append(f"workers={workers} ({', '.join(bad)})")
-    return WorkerSweepResult(identical=not mismatched,
-                             worker_counts=list(worker_counts),
-                             digests=digests, mismatched=mismatched)
 
 
 def _store_digests(store) -> Dict[str, str]:
@@ -410,18 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
                         help="durability mode only: run in tiered-lake mode "
                              "and extend the crash matrix to the lake "
                              "publish windows")
-    parser.add_argument("--workers-sweep", default=None, metavar="N,N,...",
-                        help="worker-sweep mode: byte-compare the serial "
-                             "collector against each listed --workers count "
-                             "(e.g. \"1,4,8\")")
     args = parser.parse_args(argv)
-    if args.workers_sweep:
-        counts = [int(part) for part in args.workers_sweep.split(",") if part]
-        result = worker_sweep(counts, seed=args.seed, rounds=args.rounds,
-                              chaos_profile=args.chaos_profile,
-                              chaos_seed=args.chaos_seed)
-        print(result.summary())
-        return 0 if result.identical else 1
     if args.lake and not args.durability:
         parser.error("--lake requires --durability")
     if args.durability:

@@ -35,13 +35,13 @@ APPLY_SUFFIXES: Tuple[Tuple[str, ...], ...] = (
 
 #: WAL logging methods that establish the gate.
 WAL_GATES = frozenset({
-    "log_points", "log_point", "log_record", "log_create_table",
+    "log_points", "log_record", "log_create_table",
     "log_eviction",
 })
 
 #: Qualname suffixes marking collection-side entry points.
 DEFAULT_ENTRIES: Tuple[str, ...] = (
-    "collect", "collect_once", "run_sps_round", "flush",
+    "collect", "collect_once", "flush",
 )
 
 

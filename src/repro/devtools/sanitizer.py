@@ -312,18 +312,23 @@ class ConcurrencySanitizer:
 def run_sanitized_probe(seed: int = 11, workers: int = 4,
                         rounds: int = 2,
                         chaos_profile: str = "none") -> LintResult:
-    """Run a small parallel collection under the sanitizer.
+    """Serve a fixed request battery through a threaded frontend under
+    the sanitizer.
 
-    This is the ``repro lint --sanitize`` entry point: a real
-    multi-worker SPS collection (the repo's most threaded code path)
-    executed with lock tracking on, returning whatever the sanitizer
-    observed.  Deterministic for fixed arguments.
+    This is the ``repro lint --sanitize`` entry point.  A small service
+    collects ``rounds`` rounds into a durable archive on the calling
+    thread, then a ``workers``-thread serving frontend (the repo's
+    threaded code path) answers the canonical request battery twice, so
+    repeats race on the read cache, with lock tracking on.  Returns
+    whatever the sanitizer observed; deterministic for fixed arguments.
     """
     import shutil
     import tempfile
 
+    from ..core.frontend import Tenant
     from ..core.plan_cache import PlanCache
     from ..core.service import ServiceConfig, SpotLakeService
+    from .servebench import build_workload
 
     types = ["m5.large", "c5.xlarge", "p3.2xlarge", "i3.large", "t3.micro"]
     sanitizer = ConcurrencySanitizer()
@@ -332,12 +337,23 @@ def run_sanitized_probe(seed: int = 11, workers: int = 4,
     try:
         with sanitizer:
             service = SpotLakeService(ServiceConfig(
-                seed=seed, instance_types=types, workers=workers,
+                seed=seed, instance_types=types,
                 chaos_profile=chaos_profile, data_dir=data_dir))
             try:
                 for _ in range(rounds):
-                    service.sps_collector.collect()
+                    service.collect_once()
                     service.cloud.clock.advance(600.0)
+                tenant = Tenant("probe", rate=1e9, burst=1e9)
+                battery = build_workload(service, page_limit=100) * 2
+                with service.frontend(tenants=[tenant],
+                                      workers=workers,
+                                      queue_depth=len(battery)) as frontend:
+                    tickets = [frontend.submit(tenant.api_key, path, params,
+                                               arrival_time=float(index))
+                               for index, (path, params)
+                               in enumerate(battery)]
+                    for ticket in tickets:
+                        ticket.result(60.0)
             finally:
                 service.close()
     finally:

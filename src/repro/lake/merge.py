@@ -9,9 +9,7 @@ engine (see :mod:`repro.lake.diff`).
 
 The merger mirrors :class:`repro.core.archive.RecordBatch`'s ``add_*``
 surface so collectors can treat either as the row destination.  It is
-written to by the round's serial control thread only (the parallel SPS
-engine materializes rows on workers but merges and lands them serially),
-so no locking is needed.
+written to by the collection thread only, so no locking is needed.
 """
 
 from __future__ import annotations

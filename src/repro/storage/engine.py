@@ -203,47 +203,12 @@ class StorageEngine:
         templates[key] = entry
         return entry
 
-    def log_point(self, table_name: str, key: SeriesKey, time: float,
-                  value) -> int:
-        """Log one (key, time, value) point -- :meth:`log_record` for the
-        batched ingest path.
-
-        Emits byte-identical WAL lines to :meth:`log_record` on the same
-        data (same canonical encoding, same template splice), but takes a
-        pre-built :class:`SeriesKey` so batch writers skip the per-record
-        ``Record`` construction and the (table, measure, dims) tuple hash.
-        """
-        templates, dirty = self._point_state(table_name)
-        entry = templates.get(key)
-        if entry is None:
-            entry = self._point_template(table_name, templates, key)
-        prefix, mid = entry[0], entry[1]
-        # same inlined scalar-to-JSON fast path as log_record
-        kind = type(value)
-        if kind is int:
-            value_text = str(value)
-        elif kind is float and isfinite(value):
-            value_text = repr(value)
-        else:
-            value_text = None
-        if value_text is not None and type(time) is float and isfinite(time):
-            seq = self._writer.append_template(
-                prefix, f'{mid}{time!r},"value":{value_text}}}')
-        else:  # non-finite floats, bools, strings: canonical slow path
-            seq = self._writer.append({
-                "op": "write", "table": table_name,
-                "measure": key.measure_name,
-                "dims": key.dimension_dict,
-                "value": value, "time": time})
-        dirty.add(key)
-        return seq
-
     def log_points(self, table_name: str,
                    points: Sequence[Tuple[SeriesKey, float, object]]) -> int:
-        """Bulk :meth:`log_point`: one WAL buffer handoff per batch.
+        """Log a batch of (key, time, value) points: one WAL buffer handoff.
 
-        Byte- and sequence-identical to looping ``log_point`` over
-        ``points`` (a non-fast-path scalar mid-batch flushes the
+        Byte- and sequence-identical to looping :meth:`log_record` over
+        the same records (a non-fast-path scalar mid-batch flushes the
         accumulated run first, preserving record order), but amortizes the
         per-record dispatch: templates and the dirty set resolve once,
         spliced lines accumulate into a single

@@ -143,14 +143,14 @@ class TestOutageRecovery:
 class TestSanitizedChaos:
     """Fault injection under the runtime concurrency sanitizer.
 
-    Chaos exercises the retry/breaker/gap paths on pool workers -- the
-    code most likely to touch shared state off the happy path -- so a
-    clean sanitizer verdict here is the strongest dynamic evidence the
-    threaded pipeline holds its locks.
+    Chaos exercises the retry/breaker/gap paths -- the code most likely
+    to touch shared state off the happy path.  Collection runs on one
+    thread, so a clean verdict means no lock-order cycle is reachable
+    from it and nothing it touches needs another thread's lock.
     """
 
     def test_chaotic_parallel_rounds_are_race_free(self, conc_sanitizer):
-        service = build_chaos_service("moderate", chaos_seed=42, workers=4)
+        service = build_chaos_service("moderate", chaos_seed=42)
         try:
             totals = run_rounds(service, rounds=6)
             assert totals["sps"].queries_issued > 0

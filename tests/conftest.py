@@ -73,7 +73,7 @@ def conc_sanitizer():
 def _spotconc_autosanitize():
     """Whole-suite sanitizer sweep, gated on SPOTCONC_SANITIZE=1.
 
-    The CI ``conc`` job runs the parallel and chaos suites with the
+    The CI ``conc`` job runs the collector and chaos suites with the
     sanitizer wrapped around every test; local runs pay nothing.
     """
     import os

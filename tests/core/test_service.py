@@ -1,8 +1,51 @@
 """Tests for the assembled SpotLake service."""
 
+import hashlib
+import shutil
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro import ServiceConfig, SpotLakeService
+from repro.scoring import interruption_free_score
+from repro.timeseries import dump_store
+
+BACKFILL_TYPES = ["m5.large", "c5.xlarge", "p3.2xlarge"]
+
+
+def _pointwise_backfill(service, sample_times):
+    """``bulk_backfill`` spelled as one ``put_*`` call per record."""
+    cloud, archive = service.cloud, service.archive
+    pools = [p for p in cloud.catalog.all_pools() if p[0] in BACKFILL_TYPES]
+    pairs = list(dict.fromkeys((itype, region) for itype, region, _ in pools))
+    for ts in sample_times:
+        for itype, region, zone in pools:
+            archive.put_sps(itype, region, zone,
+                            cloud.placement.zone_score(itype, region, zone,
+                                                       ts), ts)
+            archive.put_price(itype, region, zone,
+                              cloud.pricing.spot_price(itype, region, ts,
+                                                       zone), ts)
+        for itype, region in pairs:
+            ratio = cloud.advisor.interruption_ratio(itype, region, ts)
+            archive.put_advisor(itype, region, ratio,
+                                interruption_free_score(ratio),
+                                cloud.advisor.savings_percent(itype, region,
+                                                              ts), ts)
+
+
+def _store_digest(service):
+    directory = Path(tempfile.mkdtemp(prefix="test-backfill-"))
+    try:
+        dump_store(service.archive.store, directory)
+        digest = hashlib.sha256()
+        for path in sorted(directory.glob("*.jsonl")):
+            digest.update(path.name.encode("utf-8"))
+            digest.update(path.read_bytes())
+        return digest.hexdigest()
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 class TestWiring:
@@ -78,3 +121,41 @@ class TestBulkBackfill:
                                               include_price=False)
         # 2 instants x (2 sps records + 1 advisor pair x 3 measures)
         assert written == 2 * (2 + 3)
+
+
+class TestBulkBackfillParity:
+    """The batched backfill is byte-identical to pointwise writes."""
+
+    SAMPLES = 6
+
+    def _backfill(self, batched, data_dir=None):
+        service = SpotLakeService(ServiceConfig(
+            seed=7, instance_types=BACKFILL_TYPES, data_dir=data_dir))
+        start = service.cloud.clock.now()
+        times = [start + 3600.0 * i for i in range(self.SAMPLES)]
+        if batched:
+            service.bulk_backfill(times)
+        else:
+            _pointwise_backfill(service, times)
+        service.archive.commit_round(times[-1])
+        return service
+
+    def test_in_memory_digests_match(self):
+        batched = self._backfill(batched=True)
+        pointwise = self._backfill(batched=False)
+        assert batched.archive.stats()["sps"]["records_written"] > 0
+        assert _store_digest(batched) == _store_digest(pointwise)
+
+    def test_reopened_durable_digests_match(self, tmp_path):
+        digests = {}
+        for batched in (True, False):
+            data_dir = str(tmp_path / f"batched-{batched}")
+            self._backfill(batched, data_dir).close()
+            reopened = SpotLakeService(ServiceConfig(
+                seed=7, instance_types=BACKFILL_TYPES, data_dir=data_dir))
+            try:
+                assert reopened.archive.engine.rounds_committed == 1
+                digests[batched] = _store_digest(reopened)
+            finally:
+                reopened.close()
+        assert digests[True] == digests[False]

@@ -169,6 +169,9 @@ class TestSharedWrites:
 class TestProbe:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_collection_is_sanitizer_clean(self, workers):
+        """Collect into a durable archive, then serve the battery through
+        a ``workers``-thread frontend: no lock cycles, no unguarded
+        off-owner writes."""
         result = run_sanitized_probe(workers=workers, rounds=2)
         assert result.clean, "\n".join(
             f"{f.rule} {f.message}" for f in result.findings)
